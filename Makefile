@@ -23,7 +23,7 @@ LINT_BUDGET ?= 120s
 # bytes are identical at any value — only wall-clock time changes.
 CAMPAIGN_WORKERS ?= 0
 
-.PHONY: build test vet fmt-check lint race check cover bench bench-json fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
+.PHONY: build test vet fmt-check lint race check cover bench bench-json perfbench-test fuzz-smoke test-slabdebug campaign-smoke campaign-nightly
 
 build:
 	$(GO) build ./...
@@ -49,11 +49,10 @@ fmt-check:
 # simlint: the custom go/analysis suite enforcing the determinism and
 # scheduler contracts (see internal/analysis and DESIGN.md). Covers test
 # files; zero unsuppressed findings is a merge gate. Writes the
-# machine-readable findings report (suppressed findings included) and the
-# per-package serialization-readiness report — both uploaded by CI as the
-# checkpoint/restore worklist (ROADMAP item 5).
+# machine-readable findings report (suppressed findings included), which CI
+# uploads.
 lint:
-	$(GO) run ./cmd/simlint -json LINT_findings.json -readiness STATE_readiness.json ./...
+	$(GO) run ./cmd/simlint -json LINT_findings.json ./...
 
 # Race-check the concurrency-bearing packages (the parallel engine and the
 # partitioned cluster). Much faster than racing the whole tree; `make check`
@@ -101,6 +100,13 @@ campaign-nightly:
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
+
+# The benchmark module (perfbench/, its own go.mod with `replace diablo =>
+# ../`) is outside ./..., so `make test` never builds it. Test it in the
+# environment perfbench/run.py builds it with, so a change to an API it
+# calls fails here rather than in the benchmark.
+perfbench-test:
+	cd perfbench && GOFLAGS= GOTOOLCHAIN=local GOPROXY=off $(GO) test ./...
 
 # Machine-readable performance trajectory: runs the §5 engine-comparison
 # probe, writes BENCH_results.json plus a before/after BENCH_compare.json,

@@ -239,11 +239,8 @@ func BenchmarkSection5EngineParallel(b *testing.B) {
 		b.ReportMetric(st.Speedup(), "speedup-x")
 		b.ReportMetric(st.SeqAllocsPerEvent, "seq-allocs/ev")
 		b.ReportMetric(st.ParAllocsPerEvent, "par-allocs/ev")
-		b.ReportMetric(st.CaptureEventsPerSec/1e6, "capture-Mev/s")
-		b.ReportMetric(st.CaptureAllocsPerEvent, "capture-allocs/ev")
 		b.ReportMetric(st.TypedEventsPerSec/1e6, "typed-Mev/s")
 		b.ReportMetric(st.TypedAllocsPerEvent, "typed-allocs/ev")
-		b.ReportMetric(st.TypedSpeedup(), "typed-speedup-x")
 	}
 }
 

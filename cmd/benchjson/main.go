@@ -99,15 +99,11 @@ type engineComparison struct {
 	SeqAllocsPerEvent  float64 `json:"seq_allocs_per_event"`
 	ParAllocsPerEvent  float64 `json:"par_allocs_per_event"`
 
-	// Scheduler-API-v2 fields: the capturing-closure idiom the hot paths
-	// used pre-v2 versus the typed-record lane that replaced it, on the
-	// sequential engine. Zero in pre-v2 baselines, which the gates treat as
-	// "not measured". typed_speedup_x is typed/capture.
-	CaptureEventsPerSec   float64 `json:"capture_events_per_sec,omitempty"`
-	CaptureAllocsPerEvent float64 `json:"capture_allocs_per_event,omitempty"`
-	TypedEventsPerSec     float64 `json:"typed_events_per_sec,omitempty"`
-	TypedAllocsPerEvent   float64 `json:"typed_allocs_per_event,omitempty"`
-	TypedSpeedupX         float64 `json:"typed_speedup_x,omitempty"`
+	// The same chain scheduled as typed event records on the sequential
+	// engine. Zero in baselines that predate them, which the gates treat as
+	// "not measured".
+	TypedEventsPerSec   float64 `json:"typed_events_per_sec,omitempty"`
+	TypedAllocsPerEvent float64 `json:"typed_allocs_per_event,omitempty"`
 }
 
 // benchCompare is the before/after artifact written next to the report when
@@ -163,19 +159,15 @@ func main() {
 		NumCPU:             runtime.NumCPU(),
 		ParallelMeaningful: parallelMeaningful,
 		EngineComparison: engineComparison{
-			Partitions:         *partitions,
-			EventsPerPartition: *events,
-			SeqEventsPerSec:    st.SeqEventsPerSec,
-			ParEventsPerSec:    st.ParEventsPerSec,
-			SpeedupX:           st.Speedup(),
-			SeqAllocsPerEvent:  st.SeqAllocsPerEvent,
-			ParAllocsPerEvent:  st.ParAllocsPerEvent,
-
-			CaptureEventsPerSec:   st.CaptureEventsPerSec,
-			CaptureAllocsPerEvent: st.CaptureAllocsPerEvent,
-			TypedEventsPerSec:     st.TypedEventsPerSec,
-			TypedAllocsPerEvent:   st.TypedAllocsPerEvent,
-			TypedSpeedupX:         st.TypedSpeedup(),
+			Partitions:          *partitions,
+			EventsPerPartition:  *events,
+			SeqEventsPerSec:     st.SeqEventsPerSec,
+			ParEventsPerSec:     st.ParEventsPerSec,
+			SpeedupX:            st.Speedup(),
+			SeqAllocsPerEvent:   st.SeqAllocsPerEvent,
+			ParAllocsPerEvent:   st.ParAllocsPerEvent,
+			TypedEventsPerSec:   st.TypedEventsPerSec,
+			TypedAllocsPerEvent: st.TypedAllocsPerEvent,
 		},
 	}
 
@@ -241,10 +233,9 @@ func main() {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fatalf("write %s: %v", *out, err)
 	}
-	fmt.Printf("engine comparison (%d partitions x %d events): seq %.2fM ev/s (%.2f allocs/ev), capture %.2fM ev/s (%.2f allocs/ev), typed %.2fM ev/s (%.2f allocs/ev, %.2fx vs capture), par %.2fM ev/s (%.2f allocs/ev, %.2fx)\n",
+	fmt.Printf("engine comparison (%d partitions x %d events): seq %.2fM ev/s (%.2f allocs/ev), typed %.2fM ev/s (%.2f allocs/ev), par %.2fM ev/s (%.2f allocs/ev, %.2fx)\n",
 		*partitions, *events, st.SeqEventsPerSec/1e6, st.SeqAllocsPerEvent,
-		st.CaptureEventsPerSec/1e6, st.CaptureAllocsPerEvent,
-		st.TypedEventsPerSec/1e6, st.TypedAllocsPerEvent, st.TypedSpeedup(),
+		st.TypedEventsPerSec/1e6, st.TypedAllocsPerEvent,
 		st.ParEventsPerSec/1e6, st.ParAllocsPerEvent, st.Speedup())
 	fmt.Printf("wrote %s\n", *out)
 
@@ -306,7 +297,7 @@ func main() {
 	if base.EngineComparison.TypedAllocsPerEvent > 0 || base.EngineComparison.TypedEventsPerSec > 0 {
 		tceil := base.EngineComparison.TypedAllocsPerEvent + *allocSlack
 		if st.TypedAllocsPerEvent > tceil {
-			fatalf("REGRESSION: typed-lane allocs/event %.4f exceeds baseline %.4f + slack %.2f",
+			fatalf("REGRESSION: typed allocs/event %.4f exceeds baseline %.4f + slack %.2f",
 				st.TypedAllocsPerEvent, base.EngineComparison.TypedAllocsPerEvent, *allocSlack)
 		}
 		fmt.Printf("gate: typed %.4f allocs/ev <= baseline %.4f + slack %.2f — ok\n",

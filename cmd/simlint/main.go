@@ -6,15 +6,12 @@
 // Usage:
 //
 //	go run ./cmd/simlint [-run detlint,schedlint] [-list] \
-//	    [-json findings.json] [-readiness readiness.json] [-budget 90s] \
-//	    [packages]
+//	    [-json findings.json] [-budget 90s] [packages]
 //
 // -json writes every finding — suppressed ones included, with the suppressed
-// flag set — as a machine-readable report (the CI artifact). -readiness
-// writes the per-package serialization-readiness reports produced by
-// statelint's state walk, the worklist for checkpoint/restore (ROADMAP item
-// 5). -budget fails the run if analysis wall-clock exceeds the duration, so
-// the lint gate cannot quietly eat the edit-compile loop.
+// flag set — as a machine-readable report (the CI artifact). -budget fails
+// the run if analysis wall-clock exceeds the duration, so the lint gate
+// cannot quietly eat the edit-compile loop.
 package main
 
 import (
@@ -32,7 +29,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := flag.String("json", "", "write all findings (suppressed included) as JSON to this file")
-	readiness := flag.String("readiness", "", "write per-package serialization-readiness reports as JSON to this file")
 	budget := flag.Duration("budget", 0, "fail if analysis wall-clock exceeds this duration (0 = no budget)")
 	flag.Parse()
 
@@ -69,7 +65,6 @@ func main() {
 	}
 
 	var all []analysis.Finding
-	var reports []*analysis.StateReport
 	failed := false
 	for _, pkg := range pkgs {
 		findings, err := analysis.Run(pkg, analyzers)
@@ -85,20 +80,11 @@ func main() {
 			failed = true
 			fmt.Println(f)
 		}
-		if *readiness != "" && analysis.IsModelPackage(pkg.Path) {
-			reports = append(reports, analysis.BuildStateReport(pkg))
-		}
 	}
 	elapsed := time.Since(start)
 
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, findingsReport(all, elapsed)); err != nil {
-			fmt.Fprintln(os.Stderr, "simlint:", err)
-			os.Exit(2)
-		}
-	}
-	if *readiness != "" {
-		if err := writeJSON(*readiness, reports); err != nil {
 			fmt.Fprintln(os.Stderr, "simlint:", err)
 			os.Exit(2)
 		}

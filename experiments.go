@@ -438,9 +438,8 @@ func runPerf(o ExperimentOptions) (*ExperimentOutput, error) {
 		"engine comparison (8 partitions): sequential %.2fM ev/s, quantum-barrier parallel %.2fM ev/s (%.1fx)",
 		st.SeqEventsPerSec/1e6, st.ParEventsPerSec/1e6, st.Speedup()))
 	out.Notes = append(out.Notes, fmt.Sprintf(
-		"typed-event lane: %.2fM ev/s at %.3f allocs/ev vs capturing closures %.2fM ev/s at %.2f allocs/ev (%.2fx)",
-		st.TypedEventsPerSec/1e6, st.TypedAllocsPerEvent,
-		st.CaptureEventsPerSec/1e6, st.CaptureAllocsPerEvent, st.TypedSpeedup()))
+		"typed events: %.2fM ev/s at %.3f allocs/ev",
+		st.TypedEventsPerSec/1e6, st.TypedAllocsPerEvent))
 	if o.observing() {
 		cfg := core.DefaultMemcached()
 		cfg.Arrays = 1

@@ -1,6 +1,6 @@
 package analysis
 
-// This file is the interprocedural layer under ownlint and statelint: a
+// This file is the interprocedural layer under ownlint and poollint: a
 // package-level call graph plus per-function field-access summaries. The
 // per-function analyzers (detlint, crosslint, ...) inspect one function body
 // at a time; ownership leaks, by nature, cross function boundaries — a
@@ -169,8 +169,6 @@ type CallGraph struct {
 	Sorted []*FuncNode
 
 	owned map[*types.Named]*ownedInfo
-
-	transitive map[*FuncNode][]FieldWrite
 }
 
 // ownedInfo describes one owned struct: a struct type with at least one
@@ -188,25 +186,6 @@ func (p *Package) CallGraph() *CallGraph {
 		p.cg = buildCallGraph(p)
 	}
 	return p.cg
-}
-
-// OwnedStructs returns the owned struct types of the package in source
-// order: structs declared here with at least one sim.Scheduler field.
-func (g *CallGraph) OwnedStructs() []*types.Named {
-	var out []*types.Named
-	for n := range g.owned {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj().Pos() < out[j].Obj().Pos() })
-	return out
-}
-
-// OwnershipRoot returns the root scheduler field of an owned struct, or nil.
-func (g *CallGraph) OwnershipRoot(n *types.Named) *types.Var {
-	if o := g.owned[n]; o != nil {
-		return o.root
-	}
-	return nil
 }
 
 // ownedNamed reports the owned struct type t names, stripping one pointer.
@@ -276,25 +255,6 @@ func (g *CallGraph) Reachable(entries []*FuncNode) map[*FuncNode]*FuncNode {
 		}
 	}
 	return seen
-}
-
-// TransitiveWrites returns the union of n's writes and those of every node
-// reachable from it — the interprocedural field-access summary. Cycle-safe;
-// results are memoized per graph and ordered by position.
-func (g *CallGraph) TransitiveWrites(n *FuncNode) []FieldWrite {
-	if w, ok := g.transitive[n]; ok {
-		return w
-	}
-	var out []FieldWrite
-	for m := range g.Reachable([]*FuncNode{n}) {
-		out = append(out, m.Writes...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	if g.transitive == nil {
-		g.transitive = make(map[*FuncNode][]FieldWrite)
-	}
-	g.transitive[n] = out
-	return out
 }
 
 // ---------------------------------------------------------------------------

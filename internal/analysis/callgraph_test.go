@@ -91,30 +91,24 @@ func TestCallGraphReachable(t *testing.T) {
 	}
 }
 
-func TestCallGraphTransitiveWrites(t *testing.T) {
-	g := loadCallGraph(t)
-	writes := g.TransitiveWrites(g.NodeByName("Top"))
-	found := false
-	for _, w := range writes {
-		if w.Owner.Obj().Name() == "Node" && w.Field.Name() == "counter" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("TransitiveWrites(Top) = %v entries, want the Node.counter write two calls down", len(writes))
-	}
-	if len(g.TransitiveWrites(g.NodeByName("Isolated"))) != 0 {
-		t.Error("Isolated has transitive writes")
-	}
-}
-
+// TestCallGraphOwnedStructs pins owned-struct discovery (a struct with a
+// sim.Scheduler field, rooted at its first one) and that writes to an owned
+// struct's fields land in the writing function's summary.
 func TestCallGraphOwnedStructs(t *testing.T) {
 	g := loadCallGraph(t)
-	owned := g.OwnedStructs()
-	if len(owned) != 1 || owned[0].Obj().Name() != "Node" {
-		t.Fatalf("OwnedStructs = %v, want exactly Node", owned)
+	if len(g.owned) != 1 {
+		t.Fatalf("owned structs = %v, want exactly Node", g.owned)
 	}
-	if root := g.OwnershipRoot(owned[0]); root == nil || root.Name() != "sched" {
-		t.Errorf("OwnershipRoot(Node) = %v, want sched", root)
+	for n, o := range g.owned {
+		if n.Obj().Name() != "Node" || o.root == nil || o.root.Name() != "sched" {
+			t.Errorf("owned %v with root %v, want Node rooted at sched", n, o.root)
+		}
+	}
+	writes := g.NodeByName("Node.bump").Writes
+	if len(writes) != 1 || writes[0].Owner.Obj().Name() != "Node" || writes[0].Field.Name() != "counter" {
+		t.Errorf("Node.bump writes = %v, want the Node.counter write", writes)
+	}
+	if len(g.NodeByName("middle").Writes) != 0 {
+		t.Error("middle records a write it only reaches through a call")
 	}
 }

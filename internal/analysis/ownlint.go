@@ -1,9 +1,8 @@
 package analysis
 
-// Ownlint enforces the partition-confinement half of the checkpoint/sharding
-// contract: every owned struct (a struct with a sim.Scheduler field) belongs
-// to the partition whose scheduler it was wired with, and event-time code
-// must touch only state it owns. Crosslint polices the syntactic surface
+// Ownlint enforces the partition-confinement contract: every owned struct (a
+// struct with a sim.Scheduler field) belongs to the partition whose scheduler
+// it was wired with, and event-time code must touch only state it owns. Crosslint polices the syntactic surface
 // (naming cross-partition machinery, mixed schedulers inside one closure);
 // ownlint uses the package call graph to police the interprocedural surface:
 // a typed handler that calls a helper that calls a setter writing another
@@ -41,7 +40,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Ownlint is the interprocedural ownership analyzer.
@@ -272,17 +270,4 @@ func passCallGraph(pass *Pass, fallback *Package) *CallGraph {
 		return pass.pkg.CallGraph()
 	}
 	return fallback.CallGraph()
-}
-
-// ownedLabel renders an owned struct with its root field for messages and
-// the readiness report.
-func ownedLabel(n *types.Named, root *types.Var) string {
-	var b strings.Builder
-	b.WriteString(n.Obj().Name())
-	if root != nil {
-		b.WriteString(" (root ")
-		b.WriteString(root.Name())
-		b.WriteString(")")
-	}
-	return b.String()
 }

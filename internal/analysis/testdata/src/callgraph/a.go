@@ -6,7 +6,7 @@ package fixture
 
 import "diablo/internal/sim"
 
-// Node is the owned struct: counter writes feed the TransitiveWrites test.
+// Node is the owned struct: bump records its counter write.
 type Node struct {
 	sched   sim.Scheduler
 	counter int

@@ -1,6 +1,8 @@
 package memcache
 
 import (
+	"slices"
+
 	"diablo/internal/kernel"
 	"diablo/internal/packet"
 	"diablo/internal/sim"
@@ -226,7 +228,14 @@ func runTCPClient(t *kernel.Thread, p ClientParams) {
 			}
 		}
 	}
-	for _, c := range conns {
-		c.Close(t)
+	// Close in server-node order: each Close sends a FIN, so ranging over the
+	// map would make the run depend on Go's randomized map order.
+	nodes := make([]packet.NodeID, 0, len(conns))
+	for n := range conns {
+		nodes = append(nodes, n) //simlint:allow detlint keys are sorted immediately below
+	}
+	slices.Sort(nodes)
+	for _, n := range nodes {
+		conns[n].Close(t)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"diablo/internal/apps/memcache"
@@ -178,4 +180,35 @@ func TestEngineComparisonSpeedup(t *testing.T) {
 		t.Fatalf("rates: seq=%v par=%v", seq, par)
 	}
 	t.Logf("sequential %.0f ev/s, parallel %.0f ev/s (%.1fx)", seq, par, par/seq)
+}
+
+// TestMemcachedTCPRunsAreDeterministic repeats one small TCP memcached run
+// and requires byte-identical result digests. Clients close their
+// connections when they finish; doing that in map order made the FIN
+// traffic, and with it the event count and elapsed time, vary run to run.
+func TestMemcachedTCPRunsAreDeterministic(t *testing.T) {
+	digest := func() string {
+		cfg := smallMemcached()
+		cfg.Proto = memcache.TCP
+		cfg.RequestsPerClient = 10
+		cfg.Sequential = true
+		var cluster *Cluster
+		cfg.OnCluster = func(c *Cluster) { cluster = c }
+		res, err := RunMemcached(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "events %d elapsed_ps %d done %d samples %d attempted %d completed %d drops %d util %v\n",
+			cluster.Events(), int64(res.Elapsed), res.ClientsDone, res.Samples,
+			res.Attempted, res.Completed, res.SwitchDrops, res.MeanUtil)
+		histLines(&b, "latency", res.Overall)
+		return b.String()
+	}
+	want := digest()
+	for i := 0; i < 3; i++ {
+		if got := digest(); got != want {
+			t.Fatalf("run %d diverged:\n%s\nfirst run:\n%s", i+2, got, want)
+		}
+	}
 }

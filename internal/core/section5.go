@@ -94,19 +94,11 @@ type EngineComparisonStats struct {
 	SeqAllocsPerEvent float64
 	ParAllocsPerEvent float64
 
-	// The capture run prices the pre-v2 hot-path idiom on the sequential
-	// engine: every schedule allocates a fresh closure capturing per-event
-	// state, as link/vswitch/nic did before the typed lane. (The Seq run
-	// keeps its historical static-closure chain — the committed baseline
-	// gates against it — which is the closure lane's best case, not what
-	// per-packet code can write.)
-	CaptureEventsPerSec   float64
-	CaptureEvents         uint64
-	CaptureAllocsPerEvent float64
-
-	// The typed-lane run is the same chain scheduled through AfterEvent
-	// records (Scheduler API v2's hot-path lane): per-event state rides in
-	// Arg/Tgt, so steady-state scheduling allocates nothing.
+	// The typed run is the same chain scheduled through AfterEvent records
+	// with model kinds (the hot-path idiom): per-event state rides in
+	// Arg/Tgt, so steady-state scheduling allocates nothing. (The Seq run
+	// keeps its static-closure chain, which the committed baseline gates
+	// against.)
 	TypedEventsPerSec   float64
 	TypedEvents         uint64
 	TypedAllocsPerEvent float64
@@ -120,40 +112,7 @@ func (s EngineComparisonStats) Speedup() float64 {
 	return s.ParEventsPerSec / s.SeqEventsPerSec
 }
 
-// TypedSpeedup returns the typed-lane throughput relative to the
-// capturing-closure idiom it replaced on the hot paths — the before/after of
-// the Scheduler API v2 migration in isolation.
-func (s EngineComparisonStats) TypedSpeedup() float64 {
-	if s.CaptureEventsPerSec == 0 {
-		return 0
-	}
-	return s.TypedEventsPerSec / s.CaptureEventsPerSec
-}
-
-// ecCaptureChain is one partition's chain state in the capturing-closure
-// probe: the hop count is per-event state, so every schedule allocates a
-// fresh closure environment to carry it — exactly the cost the typed lane
-// removes.
-type ecCaptureChain struct {
-	eng       *sim.Engine
-	count     int
-	limit     int
-	lookahead sim.Duration
-}
-
-func (c *ecCaptureChain) tick(hop int) {
-	c.count++
-	if c.count >= c.limit {
-		return
-	}
-	next := hop + 1
-	c.eng.After(100*sim.Nanosecond, func() { c.tick(next) })
-	if c.count%16 == 0 {
-		c.eng.After(c.lookahead, func() { _ = next })
-	}
-}
-
-// ecTypedChain is one partition's chain state in the typed-lane probe: the
+// ecTypedChain is one partition's chain state in the typed probe: the
 // hop count rides in the record's Arg, so nothing is allocated per event. A
 // zero-limit chain acts as the sink for the no-op neighbour messages.
 type ecTypedChain struct {
@@ -235,32 +194,9 @@ func EngineComparisonMeasured(partitions, eventsPerPartition int) EngineComparis
 		st.SeqAllocsPerEvent = float64(allocs) / float64(eng.Executed)
 	}
 
-	// Capturing-closure run: the same chain, but every schedule allocates a
-	// fresh environment-capturing closure — the pre-v2 hot-path idiom, where
-	// per-packet state (the frame, the hop count) has to ride in the capture.
-	// The static chain above is the closure lane's unreachable best case; this
-	// run is what link/vswitch/nic actually paid before the typed lane.
-	{
-		eng := sim.NewEngine()
-		for p := 0; p < partitions; p++ {
-			c := &ecCaptureChain{eng: eng, limit: eventsPerPartition, lookahead: lookahead}
-			eng.At(0, func() { c.tick(0) })
-		}
-		allocs := mallocs()
-		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of the capturing-closure idiom
-		eng.RunUntil(deadline)
-		//simlint:allow detlint host-side self-measurement (wall-clock denominator)
-		wall := time.Since(start).Seconds()
-		allocs = mallocs() - allocs
-		st.CaptureEvents = eng.Executed
-		st.CaptureEventsPerSec = float64(eng.Executed) / wall
-		st.CaptureAllocsPerEvent = float64(allocs) / float64(eng.Executed)
-	}
-
-	// Typed-lane run of the same structure on the sequential engine: the
-	// chain state lives in a heap object referenced by the record's Tgt and
-	// the hop count rides in Arg, so steady-state scheduling allocates
-	// nothing — the record replaces the capture the run above allocates.
+	// Typed run of the same structure on the sequential engine: the chain
+	// state lives in a heap object referenced by the record's Tgt and the hop
+	// count rides in Arg, so steady-state scheduling allocates nothing.
 	{
 		eng := sim.NewEngine()
 		eng.RegisterHandler(sim.EvAppTick, func(_ sim.Time, ev sim.Event) {
@@ -272,7 +208,7 @@ func EngineComparisonMeasured(partitions, eventsPerPartition int) EngineComparis
 			eng.AtEvent(0, sim.Event{Kind: sim.EvAppTick, Tgt: c, Arg: 0})
 		}
 		allocs := mallocs()
-		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of the typed lane
+		start := time.Now() //simlint:allow detlint host-side self-measurement: events/second of typed events
 		eng.RunUntil(deadline)
 		//simlint:allow detlint host-side self-measurement (wall-clock denominator)
 		wall := time.Since(start).Seconds()

@@ -91,8 +91,7 @@ type kwork struct {
 	d    sim.Duration
 	op   kworkOp
 	pkt  *packet.Packet
-	//diablo:transient kernel work drains before the quantum boundary a checkpoint lands on
-	fn func()
+	fn   func()
 }
 
 // KernelSpanKind classifies kernel-context CPU work for observability
@@ -134,7 +133,6 @@ type MachineStats struct {
 // and its sockets. All methods must be invoked from the simulation's event
 // context (or from a Thread belonging to this machine).
 type Machine struct {
-	//diablo:transient partition wiring; core re-attaches the scheduler on restore
 	eng  sim.Scheduler
 	node packet.NodeID
 	cfg  Config
@@ -162,15 +160,13 @@ type Machine struct {
 	runqHead   int
 	lastRun    *Thread
 	inThread   bool // a thread goroutine is executing right now
-	//diablo:transient goroutine parking plumbing; recreated when threads respawn on restore
-	parked  chan struct{}
-	threads []*Thread
+	parked     chan struct{}
+	threads    []*Thread
 
 	// Network state. qdisc is head-indexed like kq. pool is the partition's
 	// packet slab pool (nil = unpooled heap mode); see packet.Pool for the
 	// ownership rules.
-	dev *nic.NIC
-	//diablo:transient routing strategy; re-installed by topology wiring on restore
+	dev       *nic.NIC
 	router    Router
 	pool      *packet.Pool
 	qdisc     []*packet.Packet
@@ -191,13 +187,10 @@ type Machine struct {
 
 	// OnKernelSpan fires when a kernel-context work item starts executing on
 	// the CPU, with its classification and duration.
-	//diablo:transient observability hook; re-registered by the harness on restore
 	OnKernelSpan func(kind KernelSpanKind, start sim.Time, d sim.Duration)
 	// OnSyscallSpan fires after a thread's syscall CPU charge completes.
-	//diablo:transient observability hook; re-registered by the harness on restore
 	OnSyscallSpan func(thread string, start sim.Time, d sim.Duration)
 	// OnPacketDelivered fires when a received packet reaches socket demux.
-	//diablo:transient observability hook; re-registered by the harness on restore
 	OnPacketDelivered func(pkt *packet.Packet, at sim.Time)
 }
 

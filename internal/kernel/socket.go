@@ -44,28 +44,23 @@ type Pollable interface {
 
 // EpollEvent is one ready notification from Epoll.Wait.
 type EpollEvent struct {
-	//diablo:transient scratch result row; Wait rebuilds it from live socket state
 	Sock   Pollable
 	Events EpollEvents
-	//diablo:transient application cookie; reattached by the app when epoll state replays
-	Data any
+	Data   any
 }
 
 type epollItem struct {
-	//diablo:transient socket identity; restore re-registers sockets by fd into fresh items
 	sock     Pollable
 	interest EpollEvents
-	//diablo:transient application cookie; reattached by the app when epoll state replays
-	data    any
-	inReady bool
+	data     any
+	inReady  bool
 }
 
 // Epoll is a level-triggered readiness multiplexer, the syscall interface
 // the paper contrasts with blocking pthread sockets (§4.1): applications
 // using it "proactively poll the kernel for available data".
 type Epoll struct {
-	m *Machine
-	//diablo:transient keyed by socket identity; rebuilt from fd registrations on restore
+	m     *Machine
 	items map[Pollable]*epollItem
 	// ready is a head-indexed FIFO (see Machine.kq); level-triggered re-queues
 	// make this the allocation hot spot of epoll servers otherwise.
@@ -200,9 +195,8 @@ const WaitForever simDuration = -1
 
 // udpDgram is one reassembled datagram in a socket's receive queue.
 type udpDgram struct {
-	from  packet.Addr
-	bytes int
-	//diablo:transient opaque app payload; needs a concrete-type registry (ROADMAP item 5)
+	from    packet.Addr
+	bytes   int
 	payload any
 }
 
@@ -633,8 +627,7 @@ type TCPSocket struct {
 	connectQ waitQueue
 	watchers []*Epoll
 	done     bool
-	//diablo:transient one of a small closed error set; encodes as an errno-style code
-	err error
+	err      error
 }
 
 func newTCPSocket(m *Machine, conn *tcp.Conn, key connKey) *TCPSocket {

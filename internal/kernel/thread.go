@@ -30,8 +30,7 @@ type Thread struct {
 	m    *Machine
 	name string
 
-	state threadState
-	//diablo:transient goroutine handshake channel; recreated when the thread respawns on restore
+	state     threadState
 	resume    chan struct{}
 	remaining sim.Duration // CPU time owed before app code may continue
 	sliceLeft sim.Duration

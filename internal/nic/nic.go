@@ -59,7 +59,6 @@ type Stats struct {
 
 // NIC is one simulated network interface.
 type NIC struct {
-	//diablo:transient partition wiring; core re-attaches the scheduler on restore
 	sched  sim.Scheduler
 	params Params
 	wire   *link.Link // egress link to the ToR switch
@@ -87,12 +86,10 @@ type NIC struct {
 	// OnRxInterrupt is invoked in "hardware interrupt" context when the
 	// device raises an RX interrupt; the kernel driver converts it into
 	// interrupt-handler work on the CPU.
-	//diablo:transient driver hook; the kernel re-registers it when wiring the device on restore
 	OnRxInterrupt func()
 
 	// OnTxDrain is invoked when a TX descriptor is freed, letting the
 	// driver push queued (qdisc) frames.
-	//diablo:transient driver hook; the kernel re-registers it when wiring the device on restore
 	OnTxDrain func()
 
 	Stats Stats

@@ -24,8 +24,6 @@ package sim
 
 // Arena is a generation counter governing a set of Scratch buffers.
 // The zero value is ready to use.
-//
-//diablo:checkpoint-root
 type Arena struct {
 	gen uint64
 }

@@ -28,9 +28,9 @@ type Engine struct {
 	halted bool
 	haltAt Time // pending HaltAt target; 0 = none armed
 
-	// handlers is the typed-event jump table (see event.go). Partitions of a
+	// handlers is the event jump table (see event.go). Partitions of a
 	// ParallelEngine share one table. Lazily allocated so a zero-value Engine
-	// still serves the closure lane.
+	// still serves At/After.
 	handlers *handlerTable
 
 	// Executed counts dispatched events, for performance reporting (§5).
@@ -53,11 +53,16 @@ func (e *Engine) RegisterHandler(k EvKind, h Handler) {
 	e.handlers.register(k, h)
 }
 
-// dispatchEvent runs one typed event through the jump table.
-func (e *Engine) dispatchEvent(at Time, ev Event) {
+// dispatch runs one event: an evFunc record calls its func, any other kind
+// goes through the jump table.
+func (e *Engine) dispatch(at Time, ev *Event) {
+	if ev.Kind == evFunc {
+		ev.Tgt.(func())()
+		return
+	}
 	if e.handlers != nil {
 		if h := e.handlers[ev.Kind]; h != nil {
-			h(at, ev)
+			h(at, *ev)
 			return
 		}
 	}
@@ -67,19 +72,13 @@ func (e *Engine) dispatchEvent(at Time, ev Event) {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at the absolute time at. Scheduling in the past
-// (before Now) panics: it would silently reorder causality. Scheduling past
-// maxSchedulable (Never minus one wheel span, ≈ 106 simulated days) panics
-// too; use Never-bounded run deadlines, not Never-adjacent events.
+// At schedules fn to run at the absolute time at, as an evFunc record.
+// Scheduling in the past (before Now) panics: it would silently reorder
+// causality. Scheduling past maxSchedulable (Never minus one wheel span,
+// ≈ 106 simulated days) panics too; use Never-bounded run deadlines, not
+// Never-adjacent events.
 func (e *Engine) At(at Time, fn func()) EventID {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	if at > maxSchedulable {
-		panic(fmt.Sprintf("sim: event time %d ps is beyond the schedulable horizon", int64(at)))
-	}
-	e.seq++
-	return e.q.schedule(at, e.seq, fn)
+	return e.schedule(at, &Event{Kind: evFunc, Tgt: fn})
 }
 
 // After schedules fn to run d after the current time.
@@ -91,11 +90,18 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 }
 
 // AtEvent schedules a typed event record at the absolute time at — the
-// zero-allocation lane for hot paths (see event.go). The same past/horizon
-// rules as At apply, and both lanes share one sequence counter, so typed and
-// closure events dispatch in a single ascending (time, schedule-order).
+// zero-allocation path for hot models (see event.go). The same past/horizon
+// rules as At apply, and every event shares one sequence counter, so events
+// dispatch in a single ascending (time, schedule-order).
 func (e *Engine) AtEvent(at Time, ev Event) EventID {
 	checkKind(ev.Kind)
+	return e.schedule(at, &ev)
+}
+
+// schedule queues a copy of *ev (of any kind, evFunc included) at the
+// absolute time at. Records travel by pointer through schedule and dispatch:
+// Event has too many fields to stay in registers across the calls.
+func (e *Engine) schedule(at Time, ev *Event) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling %v at %v before now %v", ev.Kind, at, e.now))
 	}
@@ -125,7 +131,7 @@ func (e *Engine) Cancel(id EventID) {
 func (e *Engine) Pending() int { return e.q.size() }
 
 // ForEachPending invokes fn for every still-queued typed event record, in
-// slot order (not dispatch order). Closure-lane events are skipped — their
+// slot order (not dispatch order). At/After events are skipped — their
 // captures are opaque. Callers use this for accounting over a halted engine
 // (the packet-leak audit walks it to find frames carried by in-flight
 // EvPacketHop/EvLoopback events), never for simulation semantics.
@@ -177,14 +183,10 @@ func (e *Engine) RunUntil(deadline Time) {
 			e.now = deadline
 			return
 		}
-		_, fn, ev := e.q.popHead()
+		_, ev := e.q.popHead()
 		e.now = at
 		e.Executed++
-		if fn != nil {
-			fn()
-		} else {
-			e.dispatchEvent(at, ev)
-		}
+		e.dispatch(at, &ev)
 	}
 	// A drained queue with an armed HaltAt target still stops at the target
 	// (the partitioned engine stops at the halting quantum's barrier whether
@@ -206,18 +208,13 @@ func (e *Engine) RunUntil(deadline Time) {
 // Step dispatches the single next live event, if any, and reports whether one
 // was dispatched.
 func (e *Engine) Step() bool {
-	at, ok := e.q.peekLive()
-	if !ok {
+	if _, ok := e.q.peekLive(); !ok {
 		return false
 	}
-	_, fn, ev := e.q.popHead()
+	at, ev := e.q.popHead()
 	e.now = at
 	e.Executed++
-	if fn != nil {
-		fn()
-	} else {
-		e.dispatchEvent(at, ev)
-	}
+	e.dispatch(at, &ev)
 	return true
 }
 

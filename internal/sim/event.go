@@ -2,31 +2,31 @@ package sim
 
 import "fmt"
 
-// This file defines the typed-event lane of the scheduler API (v2).
+// This file defines the scheduler's event record.
 //
-// The original API schedules closures: At(t, func(){...}). A closure is the
-// most general payload — and the most expensive one on a hot path: every
-// packet hop, NIC ring service and CPU timer tick allocates a fresh func
-// value plus its capture environment, just to carry two or three words to a
-// known piece of code. DIABLO's FPGA schedulers dispatched fixed-format event
-// records through a jump table; ScaleSimulator's software engine wins the
-// same way. Scheduler API v2 adds that lane here:
+// A closure is the most general payload and the most expensive one on a hot
+// path: every packet hop, NIC ring service and CPU timer tick would allocate
+// a fresh func value plus its capture environment, just to carry two or
+// three words to a known piece of code. DIABLO's FPGA schedulers dispatched
+// fixed-format event records through a jump table; ScaleSimulator's software
+// engine wins the same way. The engine does that here:
 //
 //   - Event is a small fixed-shape record: a kind tag, two scalar payload
 //     words, and two reference words for the model objects involved.
 //     Scheduling one allocates nothing — the record is copied into the
-//     engine's generation-tagged slot table (where the closure pointer used
-//     to live), and the queue's tier arrays stay pointer-free 24-byte
-//     entries exactly as before.
+//     engine's generation-tagged slot table, and the queue's tier arrays
+//     stay pointer-free 24-byte entries.
 //   - Handlers are registered per kind in a per-engine jump table
 //     (RegisterHandler), normally once at core.New time. Dispatch is one
 //     indexed load and an indirect call.
 //
-// Both lanes share the engine's sequence counter, so typed and closure
-// events interleave in exactly the ascending (time, schedule-order) total
-// order the determinism contract requires. The closure lane remains the
-// right tool for cold paths (connection setup, timers that fire thousands of
-// times per second instead of millions, test scaffolding).
+// There is one scheduling lane. At/After (and Send, Cross.At) wrap their
+// func() in an Event of the package-private kind evFunc, with Tgt holding
+// the func; dispatch calls it directly. A func value is pointer-shaped, so
+// storing it in Tgt does not box it: a non-capturing closure schedules
+// without allocating. Closures remain the right tool for cold paths
+// (connection setup, timers that fire thousands of times per second instead
+// of millions, test scaffolding); hot paths use the Ev* kinds.
 //
 // Payload discipline: Obj and Arg are plain scalars (port indexes, deadline
 // timestamps). Tgt and Ref hold the model objects the handler works on — a
@@ -35,14 +35,14 @@ import "fmt"
 // cost nothing extra: interface assignment of a pointer does not allocate.
 
 // EvKind tags a typed event record and indexes the engine's handler table.
-// The zero kind is reserved (it marks the closure lane / a free slot).
+// The zero kind is reserved (it marks a free slot).
 type EvKind uint8
 
 // The event-kind namespace is owned by package sim so kinds stay dense and
 // the jump table stays a flat array. Each kind is claimed by exactly one
 // model package, which registers its handler via RegisterEventHandlers.
 const (
-	evNone EvKind = iota // reserved: closure lane / free slot
+	evNone EvKind = iota // reserved: free or cancelled slot
 
 	// EvPacketHop delivers a frame at the end of a link: Tgt is the *link.Link,
 	// Ref the *packet.Packet.
@@ -84,10 +84,11 @@ const (
 	numEvKinds // table size; must stay last
 )
 
-// evClosure marks a slot holding a closure-lane event. It lives outside the
-// EvKind namespace exposed to models (Event.Kind can never equal it: AtEvent
-// rejects kinds >= numEvKinds).
-const evClosure EvKind = 0xFF
+// evFunc marks an event scheduled through At/After/Send: Tgt holds the
+// func() to call. It lives outside the EvKind namespace exposed to models
+// (AtEvent and RegisterHandler reject kinds >= numEvKinds), so only this
+// package can schedule one.
+const evFunc EvKind = 0xFF
 
 var evKindNames = [numEvKinds]string{
 	evNone:              "evNone",
@@ -108,6 +109,9 @@ var evKindNames = [numEvKinds]string{
 func (k EvKind) String() string {
 	if k < numEvKinds && evKindNames[k] != "" {
 		return evKindNames[k]
+	}
+	if k == evFunc {
+		return "evFunc"
 	}
 	return fmt.Sprintf("EvKind(%d)", uint8(k))
 }
@@ -164,6 +168,6 @@ func (t *handlerTable) register(k EvKind, h Handler) {
 // checkKind validates an Event before it enters the queue.
 func checkKind(k EvKind) {
 	if k == evNone || k >= numEvKinds {
-		panic(fmt.Sprintf("sim: AtEvent: invalid event kind %v (the zero kind is the closure lane; kinds are the sim.Ev* constants)", k))
+		panic(fmt.Sprintf("sim: AtEvent: invalid event kind %v (kinds are the sim.Ev* constants)", k))
 	}
 }

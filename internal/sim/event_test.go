@@ -41,9 +41,9 @@ func TestTypedLaneDispatch(t *testing.T) {
 }
 
 // TestLanesShareTotalOrder schedules closure and typed events at identical
-// timestamps in an interleaved pattern: both lanes share one sequence
-// counter, so dispatch must follow exact schedule order within a timestamp
-// regardless of lane.
+// timestamps in an interleaved pattern: both are event records sharing one
+// sequence counter, so dispatch must follow exact schedule order within a
+// timestamp regardless of kind.
 func TestLanesShareTotalOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -207,9 +207,10 @@ func TestDispatchUnregisteredKindPanics(t *testing.T) {
 }
 
 // TestScheduleInvalidKindPanics: the zero kind (reserved as the free-slot
-// sentinel) and out-of-range kinds are rejected at schedule time.
+// sentinel), out-of-range kinds and the package-private evFunc kind are
+// rejected at schedule time.
 func TestScheduleInvalidKindPanics(t *testing.T) {
-	for _, kind := range []EvKind{0, numEvKinds, 0xFE} {
+	for _, kind := range []EvKind{0, numEvKinds, 0xFE, evFunc} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -297,5 +298,50 @@ func TestEvKindString(t *testing.T) {
 	}
 	if got := EvKind(0xFE).String(); !strings.Contains(got, "254") {
 		t.Errorf("out-of-range kind String() = %q, want the numeric value", got)
+	}
+}
+
+// nopEvent and sendNop are non-capturing callbacks for the allocation test;
+// sendPE is the engine sendNop sends across.
+var sendPE *ParallelEngine
+
+func nopEvent() {}
+
+func sendNop() {
+	sendPE.Send(0, 1, sendPE.Partition(0).Now().Add(Microsecond), nopEvent)
+}
+
+// TestClosureEventsAllocateNothing pins that At/After and Send carry a
+// non-capturing func as an evFunc record without boxing it: scheduling and
+// dispatching one allocates nothing once the queue and exchange buffers are
+// warm.
+func TestClosureEventsAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	local := func() {
+		e.After(Nanosecond, nopEvent)
+		e.Run()
+	}
+	for i := 0; i < 100; i++ {
+		local()
+	}
+	if a := testing.AllocsPerRun(1000, local); a != 0 {
+		t.Errorf("Engine.At closure event: %v allocs/event, want 0", a)
+	}
+
+	sendPE = NewParallelEngine(2, Microsecond)
+	defer func() { sendPE = nil }()
+	cross := func() {
+		now := sendPE.Now()
+		sendPE.Partition(0).At(now, sendNop)
+		sendPE.RunUntil(now.Add(2 * Microsecond))
+	}
+	for i := 0; i < 100; i++ {
+		cross()
+	}
+	if a := testing.AllocsPerRun(1000, cross); a != 0 {
+		t.Errorf("ParallelEngine.Send closure event: %v allocs/round, want 0", a)
+	}
+	if got := sendPE.Executed; got != 2*(100+1001) {
+		t.Errorf("dispatched %d events, want %d", got, 2*(100+1001))
 	}
 }

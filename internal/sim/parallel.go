@@ -104,15 +104,14 @@ type xslab struct {
 	recs []xmsg
 }
 
-// xmsg is a cross-partition message bound for partition dst at time at: a
-// typed event record (ev), or a closure-lane callback when fn is non-nil.
+// xmsg is a cross-partition message: the event record ev, bound for
+// partition dst at time at.
 type xmsg struct {
 	at  Time
 	seq uint64
 	src int32
 	dst int32
 	ev  Event
-	fn  func()
 }
 
 // xmsgCompare orders messages in (time, source partition, send sequence)
@@ -261,7 +260,7 @@ func (p *Partition) SendEvent(dst int, at Time, ev Event) { p.pe.SendEvent(p.id,
 // quantum; this is the conservative-lookahead requirement that lets
 // partitions run a full quantum without hearing from their neighbours.
 func (pe *ParallelEngine) Send(src, dst int, at Time, fn func()) {
-	pe.sendRec(src, dst, xmsg{at: at, src: int32(src), dst: int32(dst), fn: fn})
+	pe.sendRec(src, dst, xmsg{at: at, src: int32(src), dst: int32(dst), ev: Event{Kind: evFunc, Tgt: fn}})
 }
 
 // SendEvent delivers a typed event record to partition dst at absolute time
@@ -400,12 +399,7 @@ func (pe *ParallelEngine) RunUntil(deadline Time) {
 		}
 		for i := range pending {
 			m := &pending[i]
-			eng := pe.parts[m.dst].eng
-			if m.fn != nil {
-				eng.At(m.at, m.fn)
-			} else {
-				eng.AtEvent(m.at, m.ev)
-			}
+			pe.parts[m.dst].eng.schedule(m.at, &m.ev)
 			if m.at < pe.earliest {
 				pe.earliest = m.at
 			}

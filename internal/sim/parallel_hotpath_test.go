@@ -45,14 +45,14 @@ func TestBarrierExchangeBufferReuse(t *testing.T) {
 	}
 	// The recycled buffers must not pin the payloads they carried.
 	for _, m := range pe.pending.buf[:pe.pending.Cap()] {
-		if m.fn != nil || m.ev.Tgt != nil || m.ev.Ref != nil {
+		if m.ev.Tgt != nil || m.ev.Ref != nil {
 			t.Fatal("pending buffer retains a delivered payload")
 		}
 	}
 	for i := range pe.edges {
 		recs := pe.edges[i].recs
 		for _, m := range recs[:cap(recs)] {
-			if m.fn != nil || m.ev.Tgt != nil || m.ev.Ref != nil {
+			if m.ev.Tgt != nil || m.ev.Ref != nil {
 				t.Fatal("edge slab retains a flushed payload")
 			}
 		}

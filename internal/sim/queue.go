@@ -26,7 +26,7 @@ import (
 //
 // Cancellation is O(1) and allocation-free: every queued event owns a slot
 // in a generation-tagged slot table, and an EventID is (slot, generation).
-// Cancel clears the slot's callback (also releasing the closure to the GC
+// Cancel clears the slot's record (also releasing its references to the GC
 // immediately); the queue entry itself dies lazily when it surfaces at the
 // head. A stale EventID — already fired, already cancelled, or from another
 // engine — fails the generation check and is a true no-op: nothing is
@@ -85,22 +85,18 @@ func entryCompare(a, b entry) int {
 	return 0
 }
 
-// slotRec is a generation-tagged payload slot serving both scheduling lanes:
-// kind == evClosure means fn holds a closure-lane callback, any other
-// non-zero kind means ev holds a typed record (see event.go), and
-// kind == evNone marks a cancelled or free slot. gen increments every time
-// the slot is released, so stale EventIDs can never cancel the slot's next
-// tenant. The queue's tier arrays never hold payloads — only 24-byte entry
-// references — so both lanes sort and sift pointer-free.
+// slotRec is a generation-tagged payload slot: ev holds the queued record
+// (see event.go), and ev.Kind == evNone marks a cancelled or free slot. gen
+// increments every time the slot is released, so stale EventIDs can never
+// cancel the slot's next tenant. The queue's tier arrays never hold payloads
+// — only 24-byte entry references — so they sort and sift pointer-free.
 type slotRec struct {
-	gen  uint32
-	kind EvKind // evNone = free/cancelled; evClosure = fn lane; else typed
-	fn   func()
-	ev   Event
+	gen uint32
+	ev  Event
 }
 
 // live reports whether the slot still holds a dispatchable payload.
-func (r *slotRec) live() bool { return r.kind != evNone }
+func (r *slotRec) live() bool { return r.ev.Kind != evNone }
 
 // eventQueue is the tiered priority queue. The zero value is ready to use:
 // with no epoch open (wheelEnd == 0), every insert lands in the far heap and
@@ -147,8 +143,6 @@ func (q *eventQueue) allocSlot() uint32 {
 
 func (q *eventQueue) freeSlot(s uint32) {
 	rec := &q.slots[s]
-	rec.kind = evNone
-	rec.fn = nil     // release the closure for GC
 	rec.ev = Event{} // release Tgt/Ref for GC
 	rec.gen++
 	q.free = append(q.free, s)
@@ -166,26 +160,19 @@ func (q *eventQueue) place(ent entry) {
 	}
 }
 
-// schedule inserts a closure-lane event and returns its cancellation handle.
-// The caller guarantees now <= at <= maxSchedulable and a strictly
-// increasing seq.
-func (q *eventQueue) schedule(at Time, seq uint64, fn func()) EventID {
+// scheduleEvent inserts a copy of *ev and returns its cancellation handle.
+// The caller guarantees now <= at <= maxSchedulable, a strictly increasing
+// seq and a valid ev.Kind. Nothing is allocated unless the slot table or a
+// tier array itself must grow.
+//
+// The record is copied field by field: callers have usually just built it
+// on the stack with narrow stores, and the 16-byte loads of a whole-struct
+// copy would stall on store forwarding.
+func (q *eventQueue) scheduleEvent(at Time, seq uint64, ev *Event) EventID {
 	s := q.allocSlot()
 	rec := &q.slots[s]
-	rec.kind = evClosure
-	rec.fn = fn
-	q.place(entry{at: at, seq: seq, slot: s})
-	return EventID{slot: s + 1, gen: rec.gen}
-}
-
-// scheduleEvent inserts a typed-lane event (same caller guarantees as
-// schedule; ev.Kind has been validated). Nothing is allocated unless the
-// slot table or a tier array itself must grow.
-func (q *eventQueue) scheduleEvent(at Time, seq uint64, ev Event) EventID {
-	s := q.allocSlot()
-	rec := &q.slots[s]
-	rec.kind = ev.Kind
-	rec.ev = ev
+	rec.ev.Kind, rec.ev.Obj, rec.ev.Arg = ev.Kind, ev.Obj, ev.Arg
+	rec.ev.Tgt, rec.ev.Ref = ev.Tgt, ev.Ref
 	q.place(entry{at: at, seq: seq, slot: s})
 	return EventID{slot: s + 1, gen: rec.gen}
 }
@@ -210,8 +197,8 @@ func (q *eventQueue) bucketAppend(b int, ent entry) {
 
 // cancel marks the identified event dead if it is still queued. It returns
 // whether the ID was live. Stale or zero IDs are no-ops with no side effects.
-// Both lanes cancel identically: the payload is released immediately and the
-// queue entry dies lazily when it reaches the head.
+// The payload is released immediately and the queue entry dies lazily when it
+// reaches the head.
 func (q *eventQueue) cancel(id EventID) bool {
 	if id.slot == 0 {
 		return false
@@ -220,10 +207,7 @@ func (q *eventQueue) cancel(id EventID) bool {
 	if int(s) >= len(q.slots) || q.slots[s].gen != id.gen || !q.slots[s].live() {
 		return false
 	}
-	rec := &q.slots[s]
-	rec.kind = evNone
-	rec.fn = nil
-	rec.ev = Event{}
+	q.slots[s].ev = Event{}
 	return true
 }
 
@@ -345,31 +329,24 @@ func (q *eventQueue) peekLive() (Time, bool) {
 	}
 }
 
-// popHead removes the head entry and returns its payload: a non-nil fn for a
-// closure-lane event, otherwise the typed record in ev. The payload is
+// popHead removes the head entry and returns its record. The record is
 // copied out and the slot freed before the caller dispatches, so a handler
 // may schedule (and grow the slot table) freely. Call only after a true
 // peekLive, which guarantees the head is live.
-func (q *eventQueue) popHead() (at Time, fn func(), ev Event) {
+func (q *eventQueue) popHead() (Time, Event) {
 	ent := q.near[q.nearPos]
 	q.nearPos++
-	rec := &q.slots[ent.slot]
-	if rec.kind == evClosure {
-		fn = rec.fn
-	} else {
-		ev = rec.ev
-	}
+	ev := q.slots[ent.slot].ev
 	q.freeSlot(ent.slot)
-	return ent.at, fn, ev
+	return ent.at, ev
 }
 
-// forEachPending invokes fn for every still-queued typed-lane record, in slot
-// order (not dispatch order). Closure-lane and cancelled slots are skipped.
+// forEachPending invokes fn for every still-queued model event record, in
+// slot order (not dispatch order). evFunc and cancelled slots are skipped.
 func (q *eventQueue) forEachPending(fn func(Event)) {
 	for i := range q.slots {
-		rec := &q.slots[i]
-		if rec.kind != evNone && rec.kind != evClosure {
-			fn(rec.ev)
+		if k := q.slots[i].ev.Kind; k != evNone && k != evFunc {
+			fn(q.slots[i].ev)
 		}
 	}
 }

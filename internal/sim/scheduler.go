@@ -15,9 +15,8 @@ package sim
 type Scheduler interface {
 	// Now returns the current simulated time.
 	Now() Time
-	// At schedules fn at the absolute time at (panics if at < Now). This is
-	// the closure lane — general, but it allocates the closure; hot paths
-	// use AtEvent.
+	// At schedules fn at the absolute time at (panics if at < Now). General,
+	// but a capturing fn allocates its closure; hot paths use AtEvent.
 	At(at Time, fn func()) EventID
 	// After schedules fn d after the current time (panics if d < 0).
 	After(d Duration, fn func()) EventID

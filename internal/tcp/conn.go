@@ -29,10 +29,7 @@ type oooSeg struct {
 }
 
 // Conn is one TCP connection endpoint.
-//
-//diablo:checkpoint-root
 type Conn struct {
-	//diablo:transient environment adapter; the owning socket re-binds it on restore
 	env Env
 	cfg Config
 
@@ -80,23 +77,17 @@ type Conn struct {
 	oooSegs   map[uint32]oooSeg
 	oooBytes  int
 	rcvBounds []Boundary
-	//diablo:transient opaque app messages; need a concrete-type registry (ROADMAP item 5)
-	ready   []any // completed messages awaiting Read
-	peerFin bool
+	ready     []any // completed messages awaiting Read
+	peerFin   bool
 
 	// Callbacks (any may be nil).
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
 	OnConnected func()
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnReadable func()
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnWritable func()
-	//diablo:transient socket-layer hook; re-registered by the owning socket on restore
-	OnClosed func(err error)
+	OnReadable  func()
+	OnWritable  func()
+	OnClosed    func(err error)
 
 	Stats Stats
-	//diablo:transient one of a small closed error set; encodes as an errno-style code
-	err error
+	err   error
 }
 
 func newConn(env Env, cfg Config, local, remote packet.Addr) (*Conn, error) {
@@ -565,6 +556,7 @@ func (c *Conn) absorbOOO() {
 		c.oooBytes -= seg.length
 		c.rcvNxt += uint32(seg.length)
 		c.unread += seg.length
+		c.Stats.BytesIn += uint64(seg.length)
 		c.absorbBounds(seg.bounds)
 		if seg.fin && !c.peerFin {
 			c.acceptFin()

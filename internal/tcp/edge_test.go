@@ -259,3 +259,53 @@ func TestRTOExponentialBackoff(t *testing.T) {
 		t.Fatalf("backoff not doubling: %v %v %v", g1, g2, g3)
 	}
 }
+
+// TestReorderedBytesCounted holds one data segment back so its successors
+// arrive first and wait in the out-of-order queue. Bytes absorbed from that
+// queue count toward the receiver's BytesIn like in-order bytes do, so
+// BytesIn equals what the app read.
+func TestReorderedBytesCounted(t *testing.T) {
+	p := newPair(t, DefaultConfig(), 50*sim.Microsecond)
+	held := false
+	p.cEnv.drop = func(i int, pkt *packet.Packet) bool {
+		if !held && pkt.PayloadBytes > 0 && pkt.TCP.Seq > 4*uint32(packet.MSS) {
+			held = true
+			p.eng.After(80*sim.Microsecond, func() { p.server.Input(pkt) })
+			return true
+		}
+		return false
+	}
+	const total = 64 * 1024
+	read := 0
+	p.server.OnReadable = func() {
+		n, _ := p.server.Read(1 << 30)
+		read += n
+	}
+	p.client.OnConnected = func() {
+		sent := 0
+		var push func()
+		push = func() {
+			for sent < total {
+				n := p.client.Send(total-sent, nil)
+				if n == 0 {
+					p.client.OnWritable = push
+					return
+				}
+				sent += n
+			}
+			p.client.OnWritable = nil
+		}
+		push()
+	}
+	p.connect(t)
+	run(p, sim.Second)
+	if !held || p.client.Stats.DupAcksIn == 0 {
+		t.Fatalf("no reordering happened (held %v, dup ACKs %d)", held, p.client.Stats.DupAcksIn)
+	}
+	if read != total {
+		t.Fatalf("app read %d/%d bytes", read, total)
+	}
+	if got := p.server.Stats.BytesIn; got != uint64(read) {
+		t.Fatalf("server BytesIn = %d, want the %d bytes the app read", got, read)
+	}
+}

@@ -135,8 +135,7 @@ func (s State) String() string {
 // the message Payload is complete when the receiver's in-order stream
 // reaches EndSeq.
 type Boundary struct {
-	EndSeq uint32
-	//diablo:transient opaque app message; needs a concrete-type registry (ROADMAP item 5)
+	EndSeq  uint32
 	Payload any
 }
 

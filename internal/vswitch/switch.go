@@ -82,7 +82,6 @@ type outPort struct {
 // Switch is a configurable multi-port switch model. It is not safe for
 // concurrent use; all calls must come from its engine's event context.
 type Switch struct {
-	//diablo:transient partition wiring; core re-attaches the scheduler on restore
 	sched  sim.Scheduler
 	params Params
 
@@ -97,11 +96,9 @@ type Switch struct {
 
 	// OnDrop, if set, observes every dropped frame (ingress port, packet).
 	// Used by experiment instrumentation and tests.
-	//diablo:transient observability hook; re-registered by the harness on restore
 	OnDrop func(in int, pkt *packet.Packet)
 
 	// OnFaultDrop, if set, observes every frame the fault layer removed.
-	//diablo:transient observability hook; re-registered by the fault layer on restore
 	OnFaultDrop func(in int, pkt *packet.Packet)
 
 	Stats Stats
